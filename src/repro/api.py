@@ -1,12 +1,15 @@
 """The supported public surface of :mod:`repro`, in one flat module.
 
 Everything importable here is stable: additions are backwards
-compatible, removals go through one release of
-:class:`DeprecationWarning`. Code that reaches past this facade into
-submodules depends on internals that may move without notice (the
-policy-name constants' move from ``repro.experiments.runner`` to
-:mod:`repro.core.policies` is the canonical example — importing them
-from here would have been seamless).
+compatible, and a removal is announced in the ``CHANGELOG.md`` entry
+of the release that makes it, naming the replacement. Retired input
+forms fail with a typed error rather than a warning — a positional
+configuration tail raises :class:`TypeError`, a bare-float or
+display-name :func:`make_policy` argument raises
+:class:`~repro.errors.PolicyError`. Code that reaches past this facade
+into submodules depends on internals that may move without notice (the
+policy-name constants live in :mod:`repro.core.policies`, not in
+``repro.experiments.runner``).
 
 The surface groups into:
 

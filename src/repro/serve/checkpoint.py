@@ -28,11 +28,11 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.account import CostModel, HourlyFeeMode
 from repro.core.clearing import ClearingModel
-from repro.errors import SimulationError
+from repro.errors import PricingError, SimulationError
 from repro.pricing.plan import PricingPlan
 from repro.serve.errors import CheckpointError, ServeStateError
 from repro.serve.state import STATE_VERSION, FleetState
@@ -41,17 +41,15 @@ from repro.serve.state import STATE_VERSION, FleetState
 #: Format 2 adds per-instance ``working_in_term`` (exact cost
 #: accounting) and an opaque ``extra`` dict (shard ingest bookkeeping).
 #: Format 3 adds the fleet's clearing model and per-spot listing state
-#: (``clear_at``/``fate``); format-2 files still restore (no clearing,
-#: no open listings).
+#: (``clear_at``/``fate``).
 #: Format 4 adds the fleet's canonical policy specs plus per-instance
 #: randomized draws (``drawn``) and cancellation re-buy state
-#: (``rebuys``); formats 2 and 3 still restore (no extra policies).
+#: (``rebuys``). Format-2 files are refused.
 CHECKPOINT_FORMAT = 4
 
-#: Older payload shapes this build still reads. Formats 2 and 3 are
-#: strict subsets of format 4 — the listing fields default to "no
-#: listing" and the policy fields to "no extra policies".
-_COMPATIBLE_FORMATS = (2, 3, CHECKPOINT_FORMAT)
+#: Payload shapes this build reads. Format 3 is a strict subset of
+#: format 4: its absent policy fields mean "no extra policies".
+_COMPATIBLE_FORMATS = (3, CHECKPOINT_FORMAT)
 
 
 @dataclass
@@ -162,21 +160,13 @@ def checkpoint_from_payload(payload: dict) -> Checkpoint:
         KeyError,
         TypeError,
         ValueError,
+        OverflowError,
+        PricingError,
         ServeStateError,
         SimulationError,
     ) as error:
         raise CheckpointError(f"malformed checkpoint payload: {error}") from error
     return Checkpoint(fleet=fleet, events_ingested=events_ingested, extra=extra)
-
-
-def fleet_from_payload(payload: dict) -> "Tuple[FleetState, int]":
-    """Rebuild ``(fleet, events_ingested)`` from a checkpoint payload.
-
-    Compatibility wrapper over :func:`checkpoint_from_payload` for
-    callers that predate :class:`Checkpoint` (drops ``extra``).
-    """
-    checkpoint = checkpoint_from_payload(payload)
-    return checkpoint.fleet, checkpoint.events_ingested
 
 
 def save_checkpoint(
@@ -246,13 +236,3 @@ def restore_checkpoint(path: "str | Path") -> Checkpoint:
             f"checkpoint {target} is unreadable or corrupt: {error}"
         ) from error
     return checkpoint_from_payload(payload)
-
-
-def load_checkpoint(path: "str | Path") -> "Tuple[FleetState, int]":
-    """Restore ``(fleet, events_ingested)`` from ``path``.
-
-    Compatibility wrapper over :func:`restore_checkpoint` (drops the
-    ``extra`` bookkeeping).
-    """
-    checkpoint = restore_checkpoint(path)
-    return checkpoint.fleet, checkpoint.events_ingested

@@ -19,103 +19,36 @@ Schema history
   (``policy_spec``, ``drawn_phi``, ``rebuys``), and ``/v1/costs`` may
   carry a ``policies`` section (cancellation re-buy counts).
 
-External clients negotiate *down*: a request carrying an
-``X-Repro-Schema: 1`` header (or an ingest body with ``"schema": 1``)
-gets schema-1 responses with the schema-2-only keys stripped
-(:func:`downgrade_payload`) — old clients keep working against a new
-server. Router↔shard traffic never negotiates: both ends of a cluster
-must speak :data:`SCHEMA_VERSION` exactly.
+Every response is answered in :data:`SCHEMA_VERSION`; there is no
+negotiation. An ingest body carrying any other ``"schema"`` is refused
+with :class:`~repro.serve.errors.SchemaSkewError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.serve.errors import SchemaSkewError
 
 #: Version of the serve wire format. Bump on any change to response or
-#: request shapes; router and shards refuse to interoperate across
-#: versions (external clients may negotiate down, see SUPPORTED_SCHEMAS).
+#: request shapes; servers, routers and shards refuse to interoperate
+#: across versions.
 SCHEMA_VERSION = 2
 
-#: Schemas this build can *answer in*, newest first. Clients request one
-#: via the ``X-Repro-Schema`` header; anything else is a skew error.
-SUPPORTED_SCHEMAS = (1, SCHEMA_VERSION)
 
-#: Response keys that exist only in schema 2; stripped (recursively)
-#: when answering a schema-1 client.
-_SCHEMA2_KEYS = frozenset({"policy_spec", "drawn_phi", "rebuys", "policies"})
-
-
-def envelope(
-    payload: "Dict[str, object]", schema: int = SCHEMA_VERSION
-) -> "Dict[str, object]":
-    """Wrap a success payload in the versioned envelope.
-
-    ``schema`` is the version the *client* negotiated; payload content
-    must already match it (see :func:`downgrade_payload`).
-    """
-    wrapped: "Dict[str, object]" = {"schema": schema}
+def envelope(payload: "Dict[str, object]") -> "Dict[str, object]":
+    """Wrap a success payload in the versioned envelope."""
+    wrapped: "Dict[str, object]" = {"schema": SCHEMA_VERSION}
     wrapped.update(payload)
     return wrapped
 
 
-def error_envelope(
-    kind: str, message: str, schema: int = SCHEMA_VERSION
-) -> "Dict[str, object]":
+def error_envelope(kind: str, message: str) -> "Dict[str, object]":
     """The one error shape every serve endpoint returns."""
     return {
-        "schema": schema,
+        "schema": SCHEMA_VERSION,
         "error": {"kind": kind, "message": message},
     }
-
-
-def negotiate_schema(header: "Optional[str]") -> int:
-    """Resolve a client's ``X-Repro-Schema`` request header.
-
-    No header means the current version. A header naming a supported
-    version selects it; anything else raises
-    :class:`~repro.serve.errors.SchemaSkewError` (the client asked for a
-    contract this build cannot honour — failing is safer than answering
-    in a shape it does not expect).
-    """
-    if header is None or not header.strip():
-        return SCHEMA_VERSION
-    try:
-        requested = int(header.strip())
-    except ValueError as error:
-        raise SchemaSkewError(
-            f"X-Repro-Schema must be an integer, got {header!r}"
-        ) from error
-    if requested not in SUPPORTED_SCHEMAS:
-        raise SchemaSkewError(
-            f"requested envelope schema {requested} is not supported "
-            f"(this build answers schemas {SUPPORTED_SCHEMAS})"
-        )
-    return requested
-
-
-def downgrade_payload(payload: object, schema: int) -> object:
-    """Return ``payload`` shaped for ``schema``.
-
-    Schema 2 returns the payload untouched. Schema 1 returns a deep
-    copy with every schema-2-only key removed, so pre-provenance
-    clients see exactly the shapes they were written against.
-    """
-    if schema >= SCHEMA_VERSION:
-        return payload
-    if isinstance(payload, dict):
-        return {
-            key: downgrade_payload(value, schema)
-            for key, value in payload.items()
-            if key not in _SCHEMA2_KEYS
-        }
-    if isinstance(payload, list):
-        stripped: "List[object]" = [
-            downgrade_payload(item, schema) for item in payload
-        ]
-        return stripped
-    return payload
 
 
 def require_schema(body: object, source: str = "peer") -> "Dict[str, object]":

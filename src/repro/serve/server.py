@@ -13,8 +13,8 @@ Endpoints
 * ``GET /metrics`` — Prometheus text exposition.
 
 Every JSON response is wrapped in the versioned envelope of
-:mod:`repro.serve.envelope` (``{"schema": 1, ...}``; errors are
-``{"schema": 1, "error": {"kind", "message"}}``). An ingest body may
+:mod:`repro.serve.envelope` (``{"schema": 2, ...}``; errors are
+``{"schema": 2, "error": {"kind", "message"}}``). An ingest body may
 carry ``"schema"`` (rejected on version skew) and a monotonic ``"seq"``
 (the shard router's exactly-once handle: replaying the last applied
 ``seq`` returns the stored response verbatim instead of re-applying the
@@ -46,9 +46,6 @@ from urllib.parse import parse_qs, urlparse
 
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro._compat import UNSET as _UNSET
-from repro._compat import Unset as _Unset
-from repro._compat import absorb_positional_tail as _absorb_positional_tail
 from repro._version import __version__
 from repro.core.account import CostModel
 from repro.core.breakeven import PAPER_DECISION_FRACTIONS
@@ -57,14 +54,7 @@ from repro.core.policyspec import parse_policies
 from repro.errors import PolicyError
 from repro.pricing.catalog import paper_experiment_plan
 from repro.serve.checkpoint import restore_checkpoint, save_checkpoint
-from repro.serve.envelope import (
-    SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
-    downgrade_payload,
-    envelope,
-    error_envelope,
-    negotiate_schema,
-)
+from repro.serve.envelope import SCHEMA_VERSION, envelope, error_envelope
 from repro.serve.errors import (
     ApiError,
     CheckpointError,
@@ -289,10 +279,10 @@ class AdvisoryApp:
         """Extract and validate the optional ``schema``/``seq`` fields."""
         if not isinstance(payload, dict):
             return None  # _validate_events rejects non-dict bodies
-        if "schema" in payload and payload["schema"] not in SUPPORTED_SCHEMAS:
+        if "schema" in payload and payload["schema"] != SCHEMA_VERSION:
             raise SchemaSkewError(
                 f"ingest body carries envelope schema {payload['schema']!r}; "
-                f"this server answers schemas {SUPPORTED_SCHEMAS}"
+                f"this server speaks {SCHEMA_VERSION}"
             )
         if "seq" not in payload:
             return None
@@ -518,18 +508,11 @@ class AdvisoryRequestHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode("utf-8")
         self._send_payload(status, body, "application/json; charset=utf-8")
 
-    #: Envelope schema negotiated for the current request (reset per
-    #: dispatch from the ``X-Repro-Schema`` header).
-    _schema = SCHEMA_VERSION
-
     def _send_ok(self, payload: "Dict[str, object]") -> None:
-        shaped = downgrade_payload(payload, self._schema)
-        self._send_json(
-            200, envelope(shaped, self._schema)  # type: ignore[arg-type]
-        )
+        self._send_json(200, envelope(payload))
 
     def _send_error_json(self, status: int, kind: str, message: str) -> None:
-        self._send_json(status, error_envelope(kind, message, self._schema))
+        self._send_json(status, error_envelope(kind, message))
 
     def _read_json_body(self) -> object:
         length_header = self.headers.get("Content-Length")
@@ -562,15 +545,6 @@ class AdvisoryRequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parsed = urlparse(self.path)
         route = (method, parsed.path.rstrip("/") or "/")
-        # Negotiate the response schema before routing so even error
-        # envelopes leave in the version the client asked for. A bad
-        # header is itself answered (in the current schema).
-        self._schema = SCHEMA_VERSION
-        try:
-            self._schema = negotiate_schema(self.headers.get("X-Repro-Schema"))
-        except SchemaSkewError as error:
-            self._send_error_json(error.status, type(error).__name__, str(error))
-            return
         try:
             if route == ("GET", "/healthz"):
                 self._send_ok(self.app.health())
@@ -622,12 +596,12 @@ class AdvisoryServer(ThreadingHTTPServer):
 
 def build_app(
     model: CostModel,
-    *args: object,
-    phis: "Sequence[float] | _Unset" = _UNSET,
-    checkpoint_path: "str | Path | None | _Unset" = _UNSET,
-    checkpoint_interval: "int | _Unset" = _UNSET,
-    max_batch: "int | _Unset" = _UNSET,
-    max_inflight: "int | _Unset" = _UNSET,
+    *,
+    phis: "Sequence[float]" = PAPER_DECISION_FRACTIONS,
+    checkpoint_path: "str | Path | None" = None,
+    checkpoint_interval: int = 0,
+    max_batch: int = DEFAULT_MAX_BATCH,
+    max_inflight: int = DEFAULT_MAX_INFLIGHT,
     checkpoint_fsync: bool = False,
     clearing: "ClearingModel | None" = None,
     policies: "Sequence[object] | None" = None,
@@ -647,51 +621,12 @@ def build_app(
     win for the same reason the clearing model does: drawn spots and
     re-buy watches must continue under the configuration they were
     created with.
-
-    The configuration tail is keyword-only; passing it positionally is
-    deprecated and supported for one release behind a
-    :class:`DeprecationWarning`.
     """
-    given: "dict[str, object]" = {
-        "phis": phis,
-        "checkpoint_path": checkpoint_path,
-        "checkpoint_interval": checkpoint_interval,
-        "max_batch": max_batch,
-        "max_inflight": max_inflight,
-    }
-    _absorb_positional_tail(
-        "build_app",
-        args,
-        ("phis", "checkpoint_path", "checkpoint_interval", "max_batch", "max_inflight"),
-        given,
-    )
-    resolved_phis = (
-        given["phis"] if given["phis"] is not _UNSET else PAPER_DECISION_FRACTIONS
-    )
-    resolved_path = (
-        given["checkpoint_path"] if given["checkpoint_path"] is not _UNSET else None
-    )
-    interval = (
-        int(given["checkpoint_interval"])  # type: ignore[call-overload]
-        if given["checkpoint_interval"] is not _UNSET
-        else 0
-    )
-    batch_cap = (
-        int(given["max_batch"])  # type: ignore[call-overload]
-        if given["max_batch"] is not _UNSET
-        else DEFAULT_MAX_BATCH
-    )
-    inflight_cap = (
-        int(given["max_inflight"])  # type: ignore[call-overload]
-        if given["max_inflight"] is not _UNSET
-        else DEFAULT_MAX_INFLIGHT
-    )
-
     events_ingested = 0
     last_seq: "Optional[int]" = None
     last_response: "Optional[Dict[str, object]]" = None
-    if resolved_path is not None and Path(resolved_path).exists():  # type: ignore[arg-type]
-        checkpoint = restore_checkpoint(resolved_path)  # type: ignore[arg-type]
+    if checkpoint_path is not None and Path(checkpoint_path).exists():
+        checkpoint = restore_checkpoint(checkpoint_path)
         fleet = checkpoint.fleet
         events_ingested = checkpoint.events_ingested
         stored_seq = checkpoint.extra.get("ingest_last_seq")
@@ -702,17 +637,14 @@ def build_app(
                 last_response = stored_response
     else:
         fleet = FleetState(
-            model,
-            phis=resolved_phis,  # type: ignore[arg-type]
-            clearing=clearing,
-            policies=policies,
+            model, phis=phis, clearing=clearing, policies=policies
         )
     return AdvisoryApp(
         fleet,
-        checkpoint_path=resolved_path,  # type: ignore[arg-type]
-        checkpoint_interval=interval,
-        max_batch=batch_cap,
-        max_inflight=inflight_cap,
+        checkpoint_path=checkpoint_path,
+        checkpoint_interval=checkpoint_interval,
+        max_batch=max_batch,
+        max_inflight=max_inflight,
         events_ingested=events_ingested,
         last_seq=last_seq,
         last_response=last_response,
@@ -839,16 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
             "worker wire protocol: 'http' serves the JSON API; 'binary' "
             "serves length-prefixed binary frames (the shard supervisor's "
             "worker mode — requires --wal) (default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-transport",
-        choices=("binary", "json"),
-        default="binary",
-        help=(
-            "with --shards > 1: protocol of the router->worker hop; "
-            "'json' keeps PR 5's per-request HTTP path for comparison "
-            "(default: %(default)s)"
         ),
     )
     parser.add_argument(

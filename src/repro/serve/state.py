@@ -58,13 +58,18 @@ from repro.core.breakeven import (
     validate_phi,
 )
 from repro.core.clearing import ClearingModel, ClearingProfile
-from repro.core.fastsim import FastListing, FastPolicyKind, FastSale
+from repro.core.fastsim import (
+    FastListing,
+    FastPolicyKind,
+    FastSale,
+    validate_threshold_scale,
+)
 from repro.core.policies import (
     CancellationAwareSellingPolicy,
     RandomizedSellingPolicy,
 )
 from repro.core.policyspec import SPEC_KEEP, PolicySpec
-from repro.errors import PolicyError
+from repro.errors import PolicyError, SimulationError
 from repro.serve.errors import ServeStateError
 
 #: Version of the serving state machine's behaviour. Part of every
@@ -72,6 +77,15 @@ from repro.serve.errors import ServeStateError
 #: whenever a change here could alter a decision or a cost, so stale
 #: checkpoints are refused instead of silently replayed.
 STATE_VERSION = 1
+
+
+def _check_threshold_scale(threshold_scale: float) -> None:
+    """The batch engines' β-multiplier rule (finite, ``>= 0``), raised
+    as a :class:`ServeStateError`."""
+    try:
+        validate_threshold_scale(threshold_scale)
+    except SimulationError as error:
+        raise ServeStateError(str(error)) from error
 
 
 class Verdict(enum.Enum):
@@ -137,10 +151,7 @@ class StreamTracker:
         period = model.period
         if kind is not FastPolicyKind.KEEP_RESERVED:
             validate_phi(phi)
-        if threshold_scale < 0:
-            raise ServeStateError(
-                f"threshold_scale must be >= 0, got {threshold_scale!r}"
-            )
+        _check_threshold_scale(threshold_scale)
         self.model = model
         self.phi = phi
         self.kind = kind
@@ -590,10 +601,7 @@ class FleetState:
                 f"clearing must be a ClearingModel or None, got "
                 f"{type(clearing).__name__}"
             )
-        if threshold_scale < 0:
-            raise ServeStateError(
-                f"threshold_scale must be >= 0, got {threshold_scale!r}"
-            )
+        _check_threshold_scale(threshold_scale)
         if not phis:
             raise ServeStateError("at least one decision fraction is required")
         if len(set(phis)) != len(phis):
@@ -1226,15 +1234,36 @@ class FleetState:
         return snapshot
 
     def restore_instances(self, rows: "Iterable[Dict[str, object]]") -> None:
-        """Load instance rows produced by :meth:`snapshot_instances`."""
+        """Load instance rows produced by :meth:`snapshot_instances`.
+
+        Rows are untrusted input: a duplicate or non-string id, or
+        counters outside ``0 <= working_in_term <= working <= age``,
+        raise :class:`ServeStateError` instead of restoring silently.
+        """
         for row in rows:
             try:
-                index = self.register(str(row["id"]))
-                self._age[index] = int(row["age"])  # type: ignore[call-overload]
-                self._working[index] = int(row["working"])  # type: ignore[call-overload]
-                self._working_in_term[index] = int(  # type: ignore[call-overload]
-                    row["working_in_term"]
-                )
+                instance_id = row["id"]
+                if not isinstance(instance_id, str):
+                    raise ServeStateError(
+                        f"instance ids must be strings, got {instance_id!r}"
+                    )
+                if instance_id in self._index:
+                    raise ServeStateError(
+                        f"duplicate instance id {instance_id!r} in checkpoint rows"
+                    )
+                age = int(row["age"])  # type: ignore[call-overload]
+                working = int(row["working"])  # type: ignore[call-overload]
+                working_in_term = int(row["working_in_term"])  # type: ignore[call-overload]
+                if not 0 <= working_in_term <= working <= age:
+                    raise ServeStateError(
+                        f"instance {instance_id!r} counters violate "
+                        f"0 <= working_in_term ({working_in_term}) <= "
+                        f"working ({working}) <= age ({age})"
+                    )
+                index = self.register(instance_id)
+                self._age[index] = age
+                self._working[index] = working
+                self._working_in_term[index] = working_in_term
                 spots = row["spots"]
                 for k, threshold in enumerate(self.thresholds):
                     spot = spots[repr(threshold.phi)]  # type: ignore[index]
@@ -1250,14 +1279,12 @@ class FleetState:
                         )
                     self._verdicts[k][index] = code
                     self._working_at[k][index] = int(spot["working_at"])
-                    # Listing fields are absent in pre-clearing (format
-                    # 2) checkpoint rows; default to "no listing".
-                    fate = int(spot.get("fate", _FATE_NONE))
+                    fate = int(spot["fate"])
                     if fate not in (_FATE_NONE, _FATE_CLEAR, _FATE_EXPIRE):
                         raise ServeStateError(
                             f"unknown listing fate {fate!r} in checkpoint row"
                         )
-                    self._clear_at[k][index] = int(spot.get("clear_at", -1))
+                    self._clear_at[k][index] = int(spot["clear_at"])
                     self._fate[k][index] = fate
                 if self._randomized is not None and "drawn" in row:
                     # register() already re-drew this instance's spot
@@ -1283,7 +1310,7 @@ class FleetState:
                         continue
                     self._rebuy_age[c][index] = int(entry["age"])
                     self._busy_after_sale[c][index] = int(entry["busy"])
-            except (KeyError, TypeError, ValueError) as error:
+            except (KeyError, TypeError, ValueError, OverflowError) as error:
                 raise ServeStateError(
                     f"malformed fleet state row: {row!r}"
                 ) from error

@@ -40,8 +40,8 @@ with persistent connections speaking a compact binary protocol:
 
 Wire messages (payloads of REQUEST/RESPONSE frames, codec-encoded):
 
-* request:  ``{"schema": 1, "id": N, "op": "ingest"|..., "body": {...}}``
-* response: ``{"schema": 1, "id": N, "status": 200, "body": {...}}``
+* request:  ``{"schema": 2, "id": N, "op": "ingest"|..., "body": {...}}``
+* response: ``{"schema": 2, "id": N, "status": 200, "body": {...}}``
 
 where ``body`` is exactly the versioned envelope of
 :mod:`repro.serve.envelope` — the same shapes the HTTP path speaks, so

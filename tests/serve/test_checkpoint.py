@@ -1,5 +1,5 @@
 """Checkpoint format: atomic save, faithful restore, and loud refusal
-on corrupt or version-skewed files."""
+on corrupt, version-skewed or internally inconsistent files."""
 
 import json
 
@@ -10,12 +10,13 @@ from repro.core.account import CostModel
 from repro.pricing.plan import PricingPlan
 from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
+    checkpoint_from_payload,
     fleet_to_payload,
-    load_checkpoint,
+    restore_checkpoint,
     save_checkpoint,
 )
-from repro.serve.errors import CheckpointError
-from repro.serve.state import STATE_VERSION, FleetState
+from repro.serve.errors import CheckpointError, ServeStateError
+from repro.serve.state import STATE_VERSION, FleetState, StreamTracker
 
 
 def build_fleet(seed: int = 0) -> FleetState:
@@ -33,8 +34,9 @@ def test_round_trip_preserves_fleet_and_counter(tmp_path):
     fleet = build_fleet()
     path = tmp_path / "fleet.ckpt"
     save_checkpoint(path, fleet, events_ingested=45)
-    restored, events = load_checkpoint(path)
-    assert events == 45
+    checkpoint = restore_checkpoint(path)
+    restored = checkpoint.fleet
+    assert checkpoint.events_ingested == 45
     assert restored.rows() == fleet.rows()
     assert restored.model == fleet.model
     assert restored.phis == fleet.phis
@@ -53,14 +55,14 @@ def test_save_is_atomic_no_temp_left_behind(tmp_path):
 
 def test_missing_file_is_a_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="no checkpoint"):
-        load_checkpoint(tmp_path / "nope.ckpt")
+        restore_checkpoint(tmp_path / "nope.ckpt")
 
 
 def test_corrupt_json_is_a_checkpoint_error(tmp_path):
     path = tmp_path / "fleet.ckpt"
     path.write_text('{"format": 1, "state_ver', encoding="utf-8")
     with pytest.raises(CheckpointError, match="corrupt"):
-        load_checkpoint(path)
+        restore_checkpoint(path)
 
 
 def test_unknown_format_is_refused(tmp_path):
@@ -69,7 +71,7 @@ def test_unknown_format_is_refused(tmp_path):
     path = tmp_path / "fleet.ckpt"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CheckpointError, match="format"):
-        load_checkpoint(path)
+        restore_checkpoint(path)
 
 
 def test_old_state_version_is_refused(tmp_path):
@@ -78,7 +80,7 @@ def test_old_state_version_is_refused(tmp_path):
     path = tmp_path / "fleet.ckpt"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CheckpointError, match="state machine"):
-        load_checkpoint(path)
+        restore_checkpoint(path)
 
 
 def test_malformed_instances_are_refused(tmp_path):
@@ -87,4 +89,66 @@ def test_malformed_instances_are_refused(tmp_path):
     path = tmp_path / "fleet.ckpt"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CheckpointError, match="malformed"):
-        load_checkpoint(path)
+        restore_checkpoint(path)
+
+
+# ----------------------------------------------------------------------
+# Inconsistent rows and parameters: typed refusal, never a silent restore
+# ----------------------------------------------------------------------
+
+
+def _row_payload(**overrides):
+    payload = fleet_to_payload(build_fleet())
+    payload["instances"][0].update(overrides)
+    return payload
+
+
+def test_duplicate_instance_ids_are_refused():
+    payload = fleet_to_payload(build_fleet())
+    payload["instances"][1]["id"] = payload["instances"][0]["id"]
+    with pytest.raises(CheckpointError, match="duplicate instance id"):
+        checkpoint_from_payload(payload)
+
+
+def test_duplicate_rows_are_refused_by_the_fleet():
+    fleet = build_fleet()
+    rows = fleet.snapshot_instances()
+    with pytest.raises(ServeStateError, match="duplicate"):
+        FleetState(fleet.model).restore_instances([rows[0], rows[0]])
+
+
+@pytest.mark.parametrize("bad_id", [None, 7, ["i-0"]])
+def test_non_string_instance_ids_are_refused(bad_id):
+    with pytest.raises(CheckpointError, match="strings"):
+        checkpoint_from_payload(_row_payload(id=bad_id))
+
+
+@pytest.mark.parametrize(
+    "age,working,working_in_term",
+    [
+        (-3, 0, 0),  # negative age
+        (15, 99, 0),  # working beyond age
+        (15, 2, 3),  # working_in_term beyond working
+        (15, 2, -1),  # negative working_in_term
+    ],
+)
+def test_counters_out_of_order_are_refused(age, working, working_in_term):
+    payload = _row_payload(
+        age=age, working=working, working_in_term=working_in_term
+    )
+    with pytest.raises(CheckpointError, match="counters"):
+        checkpoint_from_payload(payload)
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), -1.0])
+def test_bad_threshold_scale_is_refused_everywhere(scale):
+    """The batch engines' finiteness rule holds on the serve path too."""
+    model = build_fleet().model
+    with pytest.raises(ServeStateError, match="threshold_scale"):
+        StreamTracker(model, threshold_scale=scale)
+    with pytest.raises(ServeStateError, match="threshold_scale"):
+        FleetState(model, threshold_scale=scale)
+    payload = fleet_to_payload(build_fleet())
+    payload["threshold_scale"] = scale
+    with pytest.raises(CheckpointError, match="threshold_scale"):
+        checkpoint_from_payload(payload)

@@ -26,7 +26,7 @@ from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
     checkpoint_from_payload,
     fleet_to_payload,
-    load_checkpoint,
+    restore_checkpoint,
     save_checkpoint,
 )
 from repro.serve.errors import CheckpointError, ServeStateError
@@ -225,7 +225,7 @@ def test_kill_and_restore_with_open_listings(tmp_path):
     assert payload["format"] == CHECKPOINT_FORMAT
     assert payload["clearing"] == clearing.to_payload()
 
-    restored, _ = load_checkpoint(path)
+    restored = restore_checkpoint(path).fleet
     assert restored.clearing == clearing
     assert restored.rows() == first.rows()
     after = []
@@ -279,17 +279,47 @@ def test_kill_and_restore_through_advisory_app(tmp_path):
     assert any(d["waited_hours"] > 0 for d in resolved)
 
 
-def test_format_2_checkpoint_still_restores():
+def test_format_2_checkpoint_is_refused():
+    """A true format-2 payload: no clearing model, no per-spot listing
+    fields."""
+    ids = ["i-0", "i-1"]
     fleet = FleetState(small_model())
+    for busy in fleet_events(5, PERIOD, ids):
+        fleet.apply_events(ids, busy)
     payload = fleet_to_payload(fleet)
-    payload["format"] = CHECKPOINT_FORMAT - 1
+    payload["format"] = 2
     del payload["clearing"]
+    del payload["policies"]
     for row in payload["instances"]:
         for spot in row["spots"].values():
             del spot["clear_at"]
             del spot["fate"]
-    restored = checkpoint_from_payload(payload)
-    assert restored.fleet.clearing is None
+    with pytest.raises(CheckpointError, match="format 2"):
+        checkpoint_from_payload(payload)
+
+
+def test_format_3_checkpoint_still_restores():
+    """Format 3 carries clearing and listing state but no policy specs,
+    draws or re-buys; it restores with open listings intact."""
+    model = small_model()
+    clearing = ClearingModel.for_regime("thin", seed=9)
+    ids = [f"i-{k}" for k in range(8)]
+    fleet = FleetState(model, clearing=clearing)
+    for busy in fleet_events(4, PERIOD // 2 + 5, ids):
+        fleet.apply_events(ids, busy)
+    payload = fleet_to_payload(fleet)
+    payload["format"] = 3
+    del payload["policies"]
+    assert all("drawn" not in row and "rebuys" not in row
+               for row in payload["instances"])
+    assert any(
+        spot["fate"] != 0 for row in payload["instances"]
+        for spot in row["spots"].values()
+    ), "the format-3 payload should carry listing state"
+    restored = checkpoint_from_payload(payload).fleet
+    assert restored.clearing == clearing
+    assert restored.policy_specs == ()
+    assert restored.rows() == fleet.rows()
 
 
 def test_unknown_format_still_refused():

@@ -1,8 +1,8 @@
 """Envelope contract: every serve endpoint answers the versioned
 envelope — ``{"schema": 2, ...}`` on success, ``{"schema": 2, "error":
-{"kind", "message"}}`` on every typed error — version skew is rejected
-loudly, and the ``X-Repro-Schema`` negotiation downgrades schema-2
-payloads for schema-1 readers."""
+{"kind", "message"}}`` on every typed error — and version skew is
+rejected loudly. There is no negotiation: schema-1 ingest bodies are
+refused and an ``X-Repro-Schema`` header is ignored."""
 
 import json
 import threading
@@ -15,12 +15,9 @@ from repro.core.account import CostModel
 from repro.pricing.plan import PricingPlan
 from repro.serve.envelope import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
-    downgrade_payload,
     envelope,
     error_envelope,
     error_kind,
-    negotiate_schema,
     require_schema,
 )
 from repro.serve.errors import SchemaSkewError
@@ -85,53 +82,48 @@ class TestEnvelopeHelpers:
 
 
 class TestNegotiation:
-    def test_supported_schemas_newest_last(self):
-        assert SUPPORTED_SCHEMAS == (1, SCHEMA_VERSION)
+    """There is no negotiation: every response is ``SCHEMA_VERSION`` and
+    an ingest body naming any other schema is refused."""
+
+    def test_current_schema_is_2(self):
         assert SCHEMA_VERSION == 2
 
-    @pytest.mark.parametrize("header", [None, "", "   "])
-    def test_no_header_means_current_version(self, header):
-        assert negotiate_schema(header) == SCHEMA_VERSION
-
-    @pytest.mark.parametrize(
-        "header,expected", [("1", 1), ("2", 2), (" 2 ", 2)]
-    )
-    def test_supported_versions_are_selected(self, header, expected):
-        assert negotiate_schema(header) == expected
-
-    @pytest.mark.parametrize("header", ["9", "0", "-1", "nope", "1.5"])
-    def test_unsupported_versions_are_rejected(self, header):
-        with pytest.raises(SchemaSkewError):
-            negotiate_schema(header)
-
-    def test_downgrade_strips_schema2_keys_recursively(self):
-        payload = {
-            "instances": [
-                {
-                    "instance": "i-0",
-                    "policy_spec": "randomized:seed=7",
-                    "drawn_phi": 0.75,
-                    "rebuys": {"cancellation:phi=0.5": {"age": 4}},
-                }
-            ],
-            "policies": {"randomized:seed=7": {"instances": 1}},
-            "nested": {"inner": {"drawn_phi": 0.5, "kept": True}},
-        }
-        stripped = downgrade_payload(payload, 1)
-        assert stripped == {
-            "instances": [{"instance": "i-0"}],
-            "nested": {"inner": {"kept": True}},
-        }
-        # The original payload is untouched — a deep copy, not a mutation.
-        assert payload["instances"][0]["drawn_phi"] == 0.75
-
     def test_current_schema_passes_payload_through(self):
-        payload = {"instances": [{"drawn_phi": 0.75}]}
-        assert downgrade_payload(payload, SCHEMA_VERSION) is payload
+        payload = {"instances": [{"drawn_phi": 0.75, "policy_spec": "keep"}]}
+        assert envelope(payload) == {"schema": SCHEMA_VERSION, **payload}
+        assert payload == {"instances": [{"drawn_phi": 0.75, "policy_spec": "keep"}]}
 
-    def test_envelope_stamps_the_negotiated_version(self):
-        assert envelope({"x": 1}, schema=1) == {"schema": 1, "x": 1}
-        assert error_envelope("E", "m", schema=1)["schema"] == 1
+    @pytest.mark.parametrize("header", [None, "", "   "])
+    def test_no_header_means_current_version(self, served, header):
+        _, base = served
+        req = urllib.request.Request(f"{base}/healthz", method="GET")
+        if header is not None:
+            req.add_header("X-Repro-Schema", header)
+        with urllib.request.urlopen(req, timeout=10) as response:
+            assert json.loads(response.read())["schema"] == SCHEMA_VERSION
+
+    def test_schema_header_is_ignored(self, served):
+        _, base = served
+        for header in ("1", "9", "nope"):
+            req = urllib.request.Request(f"{base}/healthz", method="GET")
+            req.add_header("X-Repro-Schema", header)
+            with urllib.request.urlopen(req, timeout=10) as response:
+                assert response.status == 200
+                assert json.loads(response.read())["schema"] == SCHEMA_VERSION
+
+    @pytest.mark.parametrize("version", [1, 9, 0, -1, 1.5, "nope", "2", None])
+    def test_unsupported_versions_are_rejected(self, served, version):
+        """An ingest body naming any schema but the current one — the
+        retired ``1`` included — gets 400 ``SchemaSkewError``."""
+        _, base = served
+        status, body = request(
+            "POST",
+            f"{base}/v1/events",
+            {"schema": version, "events": [{"instance": "i-old", "busy": True}]},
+        )
+        assert status == 400
+        assert body["schema"] == SCHEMA_VERSION
+        assert body["error"]["kind"] == "SchemaSkewError"
 
 
 class TestSuccessEnvelopes:

@@ -2,8 +2,8 @@
 fleet's registration-time draws reproduce the policy's per-key streams,
 decision rows carry schema-2 provenance, re-buy accounting matches the
 batch engine, a killed-and-restored server replays the identical
-trajectory (drawn spots verified on restore), schema negotiation shapes
-responses, and an N=4 shard cluster stays bit-identical to the single
+trajectory (drawn spots verified on restore), every response keeps the
+schema-2 shapes, and an N=4 shard cluster stays bit-identical to the single
 process."""
 
 import json
@@ -171,7 +171,7 @@ class TestRebuyAccounting:
 
 
 # ---------------------------------------------------------------------------
-# server-level: provenance, kill-and-restore, schema negotiation
+# server-level: provenance, kill-and-restore, the schema-2 shapes
 
 
 def test_decision_rows_carry_provenance():
@@ -291,33 +291,30 @@ class TestSchemaNegotiation:
         assert status == 200 and body["schema"] == 2
         assert CANCELLATION in body["policies"]
 
-    def test_schema_1_header_strips_new_fields(self, served):
+    def test_schema_header_does_not_strip_provenance(self, served):
+        """Schema-1 negotiation is gone: the header is ignored and every
+        response keeps its schema-2 provenance fields."""
         _, base = served
         self._settle(base)
         status, body = request("GET", f"{base}/v1/costs", schema="1")
-        assert status == 200 and body["schema"] == 1
-        assert "policies" not in body
+        assert status == 200 and body["schema"] == 2
+        assert CANCELLATION in body["policies"]
         status, body = request(
             "GET", f"{base}/v1/decisions?instance=i-1", schema="1"
         )
-        assert status == 200
-        rows = body["instances"]
-        assert rows
-        flattened = json.dumps(rows)
-        assert "drawn_phi" not in flattened and "policy_spec" not in flattened
-
-        status, schema2 = request("GET", f"{base}/v1/decisions?instance=i-1")
-        assert status == 200
-        assert "drawn_phi" in json.dumps(schema2["instances"])
+        assert status == 200 and body["schema"] == 2
+        assert "drawn_phi" in json.dumps(body["instances"])
 
     def test_unsupported_schema_is_rejected(self, served):
         _, base = served
-        status, body = request("GET", f"{base}/healthz", schema="9")
-        assert status == 400
-        assert body["error"]["kind"] == "SchemaSkewError"
-        status, body = request("GET", f"{base}/healthz", schema="nope")
-        assert status == 400
-        assert body["error"]["kind"] == "SchemaSkewError"
+        for version in (1, 9):
+            status, body = request(
+                "POST",
+                f"{base}/v1/events",
+                {"schema": version, "events": [{"instance": "i-1", "busy": True}]},
+            )
+            assert status == 400
+            assert body["error"]["kind"] == "SchemaSkewError"
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,18 @@ def test_cluster_lifecycle(cluster):
     # --- validation errors stay typed at the router ---
     status, body = request("POST", f"{base}/v1/events", {"events": []})
     assert status == 400 and body["error"]["kind"] == "RequestValidationError"
-    status, body = request(
-        "POST", f"{base}/v1/events", {"schema": 99, "events": events}
-    )
-    assert status == 400 and body["error"]["kind"] == "SchemaSkewError"
+    for retired in (1, 99):
+        status, body = request(
+            "POST", f"{base}/v1/events", {"schema": retired, "events": events}
+        )
+        assert status == 400 and body["error"]["kind"] == "SchemaSkewError"
+
+
+@pytest.mark.parametrize("transport", ["json", "http", ""])
+def test_start_cluster_accepts_only_the_binary_transport(tmp_path, transport):
+    with pytest.raises(ServeStateError, match="binary"):
+        start_cluster(small_model(), 2, tmp_path, transport=transport)
+    assert list(tmp_path.iterdir()) == []  # refused before any worker spawned
 
 
 def test_router_requires_matching_ring():

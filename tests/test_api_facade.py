@@ -1,7 +1,7 @@
-"""Import stability of the :mod:`repro.api` facade, plus the
-deprecation shims left behind by the surface consolidation: moved
-policy constants still import from their old home (with a warning), and
-positional config tails still work one release behind a warning."""
+"""Import stability of the :mod:`repro.api` facade, plus the retired
+input forms of the surface consolidation: the policy constants no
+longer import from ``repro.experiments.runner``, and the configuration
+tails are keyword-only (a positional tail is a :class:`TypeError`)."""
 
 import inspect
 import warnings
@@ -57,12 +57,14 @@ class TestFacadeSurface:
 
 
 class TestRunnerConstantShim:
-    def test_old_import_warns_and_matches(self):
+    """The ``runner`` alias of the policy constants is gone."""
+
+    @pytest.mark.parametrize("name", ["POLICY_KEEP", "ONLINE_POLICIES"])
+    def test_old_import_is_an_attribute_error(self, name):
         from repro.experiments import runner
 
-        with pytest.warns(DeprecationWarning, match="repro.core.policies"):
-            old = runner.POLICY_KEEP
-        assert old == api.POLICY_KEEP
+        with pytest.raises(AttributeError):
+            getattr(runner, name)
 
     def test_unknown_attribute_still_raises(self):
         from repro.experiments import runner
@@ -72,7 +74,9 @@ class TestRunnerConstantShim:
 
 
 class TestPositionalTailDeprecation:
-    def test_build_app_positional_phis_warns_but_works(self):
+    """The positional-tail shim is gone: the tails are keyword-only."""
+
+    def test_build_app_positional_phis_is_a_type_error(self):
         from repro.core.account import CostModel
         from repro.pricing.plan import PricingPlan
 
@@ -82,12 +86,9 @@ class TestPositionalTailDeprecation:
             ),
             selling_discount=0.8,
         )
-        with pytest.warns(DeprecationWarning, match="positionally is deprecated"):
-            app = api.build_app(model, (0.5,))
-        assert app.fleet.phis == (0.5,)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            app = api.build_app(model, phis=(0.5,))
+        with pytest.raises(TypeError):
+            api.build_app(model, (0.5,))
+        app = api.build_app(model, phis=(0.5,))
         assert app.fleet.phis == (0.5,)
 
     @pytest.fixture(scope="class")
@@ -97,14 +98,21 @@ class TestPositionalTailDeprecation:
         )
         return config, api.build_experiment_population(config)
 
-    def test_run_user_positional_tail_warns_but_works(self, tiny):
+    def test_run_user_positional_tail_is_a_type_error(self, tiny):
         config, population = tiny
-        with pytest.warns(DeprecationWarning, match="positionally is deprecated"):
-            positional = api.run_user(population[0], config, True)
-        quiet = api.run_user(population[0], config, include_opt=True)
-        assert positional.costs == quiet.costs
+        with pytest.raises(TypeError):
+            api.run_user(population[0], config, True)
+        outcome = api.run_user(population[0], config, include_opt=True)
+        assert api.POLICY_OPT in outcome.costs
 
     def test_too_many_positionals_is_a_type_error(self, tiny):
         config, population = tiny
         with pytest.raises(TypeError):
             api.run_user(population[0], config, True, False, None, "extra")
+
+    def test_run_sweep_positional_tail_is_a_type_error(self, tiny):
+        config, population = tiny
+        with pytest.raises(TypeError):
+            api.run_sweep(config, population)
+        result = api.run_sweep(config, users=population)
+        assert len(result.outcomes) == len(population)
