@@ -2,9 +2,10 @@
 
 Not a paper artefact — this guards the scaling layer: the population
 engine of :mod:`repro.core.popsim` must beat the per-user ``run_fast``
-loop by an order of magnitude in users/sec on the BENCH_sweep config,
-and a 100k-user synthetic store must stream through it memory-mapped in
-bounded memory (peak RSS is recorded per stage). The per-user engine at
+loop in users/sec on the BENCH_sweep config (about 4x since ``run_fast``
+decides per batch, 12.7x before), and a 100k-user synthetic store must
+stream through it memory-mapped in bounded memory (peak RSS is recorded
+per stage). The per-user engine at
 the 5k/100k scales is measured on a user sample and extrapolated — the
 whole point is that running it in full is too slow.
 
@@ -187,7 +188,7 @@ def measure_store_per_user(
 
 def measure_sweep_engines(config: ExperimentConfig) -> dict:
     """Both run_sweep engines on the BENCH_sweep config (full policy set
-    incl. All-Selling, serial, no cache): the ≥10x users/sec gate."""
+    incl. All-Selling, serial, no cache): the users/sec gap between them."""
     population = build_experiment_population(config)
     record: dict = {"users": len(population)}
     for engine in ("user", "population"):

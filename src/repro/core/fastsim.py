@@ -1,14 +1,23 @@
-"""Vectorised transliteration of the paper's Algorithm 1 / Algorithm 2.
+"""Array engine for the paper's Algorithm 1 / Algorithm 2, one user.
 
-This engine mirrors the pseudocode directly on numpy arrays — the hourly
-loop, the ``l`` running sum, the ``r_j − d_j − i + 1 > l`` freeness test,
-and the history/future ``r_k`` decrements on sale — with no instance
-objects. It exists for two reasons:
+The engine keeps the pseudocode's state on numpy arrays — the ``l``
+running sum, the effective (history-rewritten) and physical ``r``
+timelines, the ``r_j − d_j − i + 1 > l`` freeness test — with no
+instance objects, and decides one reservation *batch* at a time rather
+than one instance and one hour at a time: the window's slack
+``c = r_eff − d − l`` is sorted once, one ``np.searchsorted`` gives
+every instance's working time (instance ``i`` after ``i − 1`` sales
+works ``#(c ≤ 2(i−1))`` hours; the identity is proven in
+:mod:`repro.core.popsim`), and the sold prefix is applied with one
+slice update per timeline. Only hours that reserved anything are
+visited. It exists for two reasons:
 
-1. **Fidelity**: it is a line-by-line rendering of the published
-   pseudocode, equivalence-tested against the object-model
-   :class:`~repro.core.simulator.SellingSimulator` (they must produce the
-   same sales and the same cost breakdowns).
+1. **Fidelity**: its outputs are those of the published pseudocode,
+   field for field. ``tests/core/test_fastsim_oracle.py`` holds it to
+   the per-instance, per-hour transliteration kept in
+   ``tests/core/fastsim_oracle.py``, and ``test_prop_engines.py`` to the
+   object-model :class:`~repro.core.simulator.SellingSimulator` (same
+   sales, same cost breakdowns).
 2. **Throughput**: population-scale sweeps (300 users × several policies
    × year-long horizons) run via this path.
 
@@ -23,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -60,6 +70,22 @@ def validate_threshold_scale(threshold_scale: float) -> float:
     if threshold_scale < 0:
         raise SimulationError(f"threshold_scale must be >= 0, got {threshold_scale!r}")
     return threshold_scale
+
+
+def active_timeline(reservations: np.ndarray, period: int) -> np.ndarray:
+    """Active reservations per hour: each ``n[..., h]`` covers ``[h, h+T)``.
+
+    One cumsum of ``n`` minus ``n`` shifted by the period, along the last
+    axis — a 1-D schedule or a ``(users × hours)`` tensor alike. Exact
+    integer arithmetic; the input is not modified.
+    """
+    horizon = reservations.shape[-1]
+    delta = reservations.copy()
+    if period < horizon:
+        # Reservations expiring inside the horizon stop contributing at
+        # h + T; later ones run off the end and need no terminator.
+        delta[..., period:] -= reservations[..., : horizon - period]
+    return np.cumsum(delta, axis=-1)
 
 
 class FastPolicyKind(enum.Enum):
@@ -218,12 +244,8 @@ def run_fast(
 
     # Active-reservation timelines: physical for costs, effective (with the
     # pseudocode's history rewrites) for decisions.
-    r_physical = np.zeros(horizon, dtype=np.int64)
-    r_effective = np.zeros(horizon, dtype=np.int64)
-    for start in np.flatnonzero(n):
-        end = min(int(start) + period, horizon)
-        r_physical[start:end] += n[start]
-        r_effective[start:end] += n[start]
+    r_physical = active_timeline(n, period)
+    r_effective = r_physical.copy()
 
     sales: list[FastSale] = []
     listings: list[FastListing] = []
@@ -247,6 +269,7 @@ def run_fast(
     if evaluate:
         remaining_fraction = 1.0 - decision_age / period
         per_sale_income = model.sale_income(remaining_fraction)
+        sell_below = threshold_scale * beta
         # The pseudocode recomputes the ``l`` running sum over the
         # effective schedule ``n_k`` with a fresh cumsum at every decision
         # hour. But its ``n_k`` decrements only ever touch index ``t0``,
@@ -257,35 +280,46 @@ def run_fast(
         # ``n`` and the whole family of per-hour cumulative sums collapses
         # into one prefix sum computed once per run.
         n_prefix = np.concatenate(([0], np.cumsum(n)))
-        for t in range(decision_age, horizon):
-            t0 = t - decision_age
+        # "No need to make decisions" at hours whose batch is empty, and
+        # batches reserved within ``decision_age`` of the horizon's end
+        # never reach their decision spot.
+        decided = np.flatnonzero(n[: max(horizon - decision_age, 0)])
+        for t0 in decided.tolist():
+            t = t0 + decision_age
             batch = int(n[t0])
-            if batch == 0:
-                continue  # "no need to make decisions at this moment"
-            window = slice(t0, t)
+            # The slack c_k = r_eff_k − d_k − l_k over the window. Every
+            # sale rewrites the whole window (r_eff −= 1), so instance i
+            # of the batch, after s sales in it, is free at hour k iff
+            # c_k > i − 1 + s. Inside the sold prefix s = i − 1, so
+            # instance i works #(c ≤ 2(i − 1)) hours: one sort and one
+            # searchsorted give the whole batch. Working time is
+            # non-decreasing along the batch, so once one instance is
+            # kept every later one is kept too (the popsim docstring).
             l_values = n_prefix[t0 + 1:t + 1] - n_prefix[t0 + 1]
-            for i in range(1, batch + 1):  # the pseudocode's instance loop
-                free = (
-                    r_effective[window] - d[window] - i + 1 > l_values
-                )
-                working = decision_age - int(np.count_nonzero(free))
-                if kind is FastPolicyKind.ONLINE:
-                    sell = working < threshold_scale * beta
-                else:  # ALL_SELLING
-                    sell = True
-                if not sell:
+            slack = np.sort(r_effective[t0:t] - d[t0:t] - l_values)
+            working = np.searchsorted(
+                slack, np.arange(0, 2 * batch, 2), side="right"
+            )
+            if kind is FastPolicyKind.ONLINE:
+                # ``working`` is sorted, so the sellers are a prefix.
+                sold = int(np.count_nonzero(working < sell_below))
+                if sold == 0:
                     continue
-                end = min(t0 + period, horizon)
-                r_effective[t0:end] -= 1  # history rewrite (lines 17-21)
-                sales.append(
-                    FastSale(
-                        reserved_at=t0, batch_index=i, hour=t, working_hours=working
-                    )
-                )
-                if clear_profile is None:
-                    r_physical[t:end] -= 1  # future: the unit stops serving
+            else:  # ALL_SELLING
+                sold = batch
+            end = min(t0 + period, horizon)
+            r_effective[t0:end] -= sold  # history rewrite (lines 17-21)
+            # FastSale(reserved_at, batch_index, hour, working_hours)
+            sales.extend(
+                map(FastSale, repeat(t0), range(1, sold + 1), repeat(t),
+                    working[:sold].tolist())
+            )
+            if clear_profile is None:
+                r_physical[t:end] -= sold  # future: the units stop serving
+                for _ in range(sold):  # one addition per sale, as written
                     income += per_sale_income
-                    continue
+                continue
+            for i in range(1, sold + 1):
                 # Clearing: the decision opened a listing. The unit keeps
                 # serving (and billing) until the drawn clearing hour; a
                 # draw of the full window means it never clears.

@@ -2,7 +2,7 @@
 
 :func:`repro.core.fastsim.run_fast` renders Algorithm 1/2 faithfully for
 *one* user; sweeping a population through it costs one Python loop per
-user (≈257 users/sec in ``BENCH_sweep.json``), which is fatal for the
+user (≈400 users/sec in ``BENCH_sweep.json``), which is fatal for the
 ROADMAP's millions-of-users target. This module runs the same decision
 rule over a whole ``(users × hours)`` demand/reservation tensor with
 numpy doing the user dimension, and is proven **bit-identical** to
@@ -57,7 +57,11 @@ from repro.core.account import CostBreakdown, CostModel, HourlyFeeMode
 from repro.core.breakeven import break_even_working_hours, validate_phi
 from repro.core.cancellation import CancellationModel, SoldUnit, apply_rebuys
 from repro.core.clearing import ClearingModel
-from repro.core.fastsim import FastPolicyKind, validate_threshold_scale
+from repro.core.fastsim import (
+    FastPolicyKind,
+    active_timeline,
+    validate_threshold_scale,
+)
 from repro.core.policies import RandomizedSellingPolicy
 from repro.errors import SimulationError
 
@@ -185,7 +189,7 @@ class PopulationPrecompute:
         self.demands = demands
         self.reservations = reservations
         self.period = period
-        self.active = _active_timeline(reservations, period)
+        self.active = active_timeline(reservations, period)
         self._prefix: "np.ndarray | None" = None
 
     @property
@@ -219,21 +223,6 @@ def prepare_population(
     if d.shape[1] == 0:
         raise SimulationError("the horizon must cover at least one hour")
     return PopulationPrecompute(d, n, period)
-
-
-def _active_timeline(reservations: np.ndarray, period: int) -> np.ndarray:
-    """Active-reservation tensor: each ``n[u, h]`` covers ``[h, h+T)``.
-
-    Built with a difference array + row cumsum instead of a per-user
-    loop over reservation hours.
-    """
-    horizon = reservations.shape[1]
-    delta = reservations.copy()
-    if period < horizon:
-        # Reservations expiring inside the horizon stop contributing at
-        # h + T; later ones run off the end and need no terminator.
-        delta[:, period:] -= reservations[:, : horizon - period]
-    return np.cumsum(delta, axis=1)
 
 
 def _sequential_income_table(per_sale_income: float, max_sales: int) -> np.ndarray:

@@ -44,7 +44,7 @@ from repro.parallel.pool import CHUNKS_PER_WORKER, parallel_map, resolve_workers
 from repro.parallel.timing import StageTimer, SweepTiming
 from repro.workload.groups import FluctuationGroup
 
-#: The sweep execution engines: per-user ``run_fast`` (the oracle) and
+#: The sweep execution engines: per-user ``run_fast`` (the reference) and
 #: the population-tensor path of :mod:`repro.core.popsim`. Outcomes are
 #: bit-identical either way; only the throughput differs.
 SWEEP_ENGINES = ("user", "population")

@@ -12,9 +12,9 @@ import numpy as np
 
 from repro.pricing.plan import PricingPlan
 from repro.purchasing.base import (
-    ActiveReservationTracker,
     PurchasingAlgorithm,
     demands_array,
+    top_up_schedule,
     validated_schedule,
 )
 
@@ -26,13 +26,6 @@ class AllReserved(PurchasingAlgorithm):
 
     def schedule(self, demands, plan: PricingPlan) -> np.ndarray:
         trace, values = demands_array(demands, plan)
-        horizon = len(trace)
-        tracker = ActiveReservationTracker(plan.period_hours)
-        n = np.zeros(horizon, dtype=np.int64)
-        for hour in range(horizon):
-            tracker.advance_to(hour)
-            gap = int(values[hour]) - tracker.active
-            if gap > 0:
-                n[hour] = gap
-                tracker.reserve(hour, gap)
-        return validated_schedule(n, horizon)
+        return validated_schedule(
+            top_up_schedule(values, plan.period_hours), len(trace)
+        )

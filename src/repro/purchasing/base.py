@@ -8,8 +8,11 @@ algorithm maps a demand trace to a reservation schedule ``n_t`` — how
 many new instances are reserved each hour — processing the trace online
 (no lookahead), exactly like the users being imitated.
 
-:class:`ActiveReservationTracker` is the shared bookkeeping: the number
-of still-active reservations each hour, maintained with an expiry queue.
+:func:`top_up_schedule` is the shared engine of the two imitators that
+top the reserved pool up to an hourly target (All-Reserved and
+Random-Reservation). :class:`ActiveReservationTracker` is the hour-by-hour
+bookkeeping — the number of still-active reservations, maintained with an
+expiry queue — for imitators that scan a trace one hour at a time.
 """
 
 from __future__ import annotations
@@ -70,6 +73,37 @@ class PurchasingAlgorithm(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def top_up_schedule(targets: np.ndarray, period: int) -> np.ndarray:
+    """New reservations ``n_t`` that top the active pool up to ``targets``.
+
+    Each hour the pool first loses the reservations made one period
+    earlier and then, if it falls short of ``targets[h]``, reserves the
+    gap. The active pool after hour ``h`` therefore follows the integer
+    recurrence ``A(h) = max(A(h−1) − n[h−P], target[h])``. Within one
+    period-long round every expiry ``n[h−P]`` comes from the round
+    before, so with ``C(h)`` the round's running sum of expiries,
+    ``A(h) + C(h)`` is a running maximum of ``target + C`` — one
+    ``np.maximum.accumulate`` per round instead of one step per hour.
+    ``targets`` must be non-negative integers (0 = no top-up).
+    """
+    horizon = targets.size
+    n = np.zeros(horizon, dtype=np.int64)
+    active = 0  # A(start − 1): the pool after the previous round
+    for start in range(0, horizon, period):
+        stop = min(start + period, horizon)
+        if start >= period:
+            expiring = n[start - period:stop - period]
+        else:
+            expiring = np.zeros(stop - start, dtype=np.int64)
+        expired = np.cumsum(expiring)
+        pool = np.maximum(np.maximum.accumulate(targets[start:stop] + expired), active)
+        pool -= expired
+        n[start] = pool[0] - active + expiring[0]
+        n[start + 1:stop] = np.diff(pool) + expiring[1:]
+        active = int(pool[-1])
+    return n
 
 
 def validated_schedule(n: np.ndarray, horizon: int) -> np.ndarray:

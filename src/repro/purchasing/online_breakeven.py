@@ -28,7 +28,6 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.pricing.plan import PricingPlan
 from repro.purchasing.base import (
-    ActiveReservationTracker,
     PurchasingAlgorithm,
     demands_array,
     validated_schedule,
@@ -75,33 +74,34 @@ class OnlineBreakEven(PurchasingAlgorithm):
     def schedule(self, demands, plan: PricingPlan) -> np.ndarray:
         trace, values = demands_array(demands, plan)
         horizon = len(trace)
-        window = self.window_hours or plan.period_hours
+        period = plan.period_hours
+        window = self.window_hours or period
         trigger = self.trigger_hours(plan)
-        tracker = ActiveReservationTracker(plan.period_hours)
         # Per concurrency level: recent on-demand hours (sliding window).
         histories: list[deque[int]] = []
-        n = np.zeros(horizon, dtype=np.int64)
-        for hour in range(horizon):
-            tracker.advance_to(hour)
-            demand = int(values[hour])
-            covered = tracker.active
+        reserved = [0] * horizon
+        covered = 0  # active reservations: this run's own, expiring after T
+        for hour, demand in enumerate(values.tolist()):
+            if hour >= period:
+                covered -= reserved[hour - period]
             if demand > len(histories):
                 histories.extend(
                     deque() for _ in range(demand - len(histories))
                 )
+            cutoff = hour - window
             new_reservations = 0
             for level in range(covered, demand):  # uncovered levels, 0-based
                 history = histories[level]
                 history.append(hour)
-                while history and history[0] <= hour - window:
+                while history[0] <= cutoff:  # ``hour`` itself always stays
                     history.popleft()
                 if len(history) >= trigger:
                     new_reservations += 1
                     history.clear()
             if new_reservations:
-                n[hour] = new_reservations
-                tracker.reserve(hour, new_reservations)
-        return validated_schedule(n, horizon)
+                reserved[hour] = new_reservations
+                covered += new_reservations
+        return validated_schedule(np.array(reserved, dtype=np.int64), horizon)
 
 
 def wang_online_purchasing() -> OnlineBreakEven:

@@ -13,9 +13,9 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.pricing.plan import PricingPlan
 from repro.purchasing.base import (
-    ActiveReservationTracker,
     PurchasingAlgorithm,
     demands_array,
+    top_up_schedule,
     validated_schedule,
 )
 
@@ -39,20 +39,19 @@ class RandomReservation(PurchasingAlgorithm):
 
     def schedule(self, demands, plan: PricingPlan) -> np.ndarray:
         trace, values = demands_array(demands, plan)
-        horizon = len(trace)
+        # The draws depend on the demands alone, never on the pool, so
+        # the hourly targets are drawn first — scalar calls in hour
+        # order, the stream the stepper consumes — and the top-ups are
+        # solved afterwards. A target of 0 never tops anything up.
         rng = np.random.default_rng(self.seed)
-        tracker = ActiveReservationTracker(plan.period_hours)
-        n = np.zeros(horizon, dtype=np.int64)
-        for hour in range(horizon):
-            tracker.advance_to(hour)
-            demand = int(values[hour])
-            if demand == 0:
-                continue
-            if rng.random() >= self.reservation_probability:
-                continue
-            target = int(rng.integers(0, demand + 1))
-            gap = target - tracker.active
-            if gap > 0:
-                n[hour] = gap
-                tracker.reserve(hour, gap)
-        return validated_schedule(n, horizon)
+        uniform, integers = rng.random, rng.integers
+        probability = self.reservation_probability
+        busy_hours = np.flatnonzero(values)
+        targets = np.zeros(len(trace), dtype=np.int64)
+        targets[busy_hours] = [
+            integers(0, demand + 1) if uniform() < probability else 0
+            for demand in values[busy_hours].tolist()
+        ]
+        return validated_schedule(
+            top_up_schedule(targets, plan.period_hours), len(trace)
+        )

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Protocol, Sequence, Union, runtime_checka
 
 import numpy as np
 
+from repro._arrays import as_count_array
 from repro.errors import TraceLengthError, WorkloadError
 
 
@@ -31,18 +32,16 @@ class DemandTrace:
             raise WorkloadError(f"a demand trace must be 1-D, got shape {array.shape}")
         if array.size == 0:
             raise WorkloadError("a demand trace must contain at least one hour")
+        # bool is not a number here, although as_count_array would take it.
         if not np.issubdtype(array.dtype, np.number):
             raise WorkloadError(f"demands must be numeric, got dtype {array.dtype}")
-        as_float = array.astype(np.float64)
-        if np.any(~np.isfinite(as_float)):
-            raise WorkloadError("demands must be finite")
-        if np.any(as_float < 0):
+        # Exact: integer arrays pass through, floats must be finite and
+        # integral (100000.4 is refused, not rounded to 100000).
+        counts = as_count_array(array, "demands", WorkloadError)
+        if np.any(counts < 0):
             raise WorkloadError("demands must be non-negative")
-        rounded = np.rint(as_float).astype(np.int64)
-        if not np.allclose(as_float, rounded):
-            raise WorkloadError("demands must be whole instance counts")
-        rounded.flags.writeable = False
-        self._values = rounded
+        counts.flags.writeable = False
+        self._values = counts
         self.name = name
 
     # ------------------------------------------------------------------

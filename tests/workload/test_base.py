@@ -54,6 +54,32 @@ class TestConstruction:
         with pytest.raises(WorkloadError):
             DemandTrace(["a", "b"])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # A near-integer far from zero was once rounded, not refused.
+            [100000.4, 3],
+            [2.5],
+            [1.0, float("nan")],
+            [float("inf")],
+            [-1],
+            np.array([True, False]),
+            np.zeros((2, 2)),
+            [],
+        ],
+        ids=["100000.4", "2.5", "nan", "inf", "-1", "bool", "2-D", "empty"],
+    )
+    def test_rejects_inexact_or_malformed_demands(self, values):
+        with pytest.raises(WorkloadError):
+            DemandTrace(values)
+
+    def test_integer_arrays_keep_their_values(self):
+        source = np.array([0, 7, 2**40], dtype=np.int64)
+        trace = DemandTrace(source)
+        assert trace.values.dtype == np.int64
+        assert np.array_equal(trace.values, source)
+        assert not np.shares_memory(trace.values, source)
+
 
 class TestContainerBehaviour:
     def test_len_and_horizon(self):
